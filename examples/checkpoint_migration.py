@@ -38,17 +38,21 @@ def main():
     def note(message):
         log.append(f"  {stamp()}  {message}")
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: note(
+    def on(kind, callback):
+        system.bus.subscribe_event(
+            kind, lambda event: callback(**event.payload))
+
+    on(events.JOB_PLACED, lambda job, host, home: note(
         f"image transferred, {job.name} executing on {host}"))
-    system.bus.subscribe(events.JOB_SUSPENDED, lambda job, host: note(
+    on(events.JOB_SUSPENDED, lambda job, host: note(
         f"owner back at {host}: CPU handed over IMMEDIATELY, job "
         f"suspended in place (5-minute grace starts)"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: note(
+    on(events.JOB_VACATED, lambda job, host, reason: note(
         f"grace expired: checkpoint written and shipped home from {host} "
         f"({job.image_mb():.2f} MB)"))
-    system.bus.subscribe(events.JOB_RESUMED, lambda job, host: note(
+    on(events.JOB_RESUMED, lambda job, host: note(
         f"owner left within grace, resumed on {host}"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: note(
+    on(events.JOB_COMPLETED, lambda job, station: note(
         f"{job.name} completed"))
 
     system.start()

@@ -35,13 +35,17 @@ def main():
     def stamp():
         return f"[{sim.now / MINUTE:6.1f} min]"
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: print(
+    def on(kind, callback):
+        system.bus.subscribe_event(
+            kind, lambda event: callback(**event.payload))
+
+    on(events.JOB_PLACED, lambda job, host, home: print(
         f"{stamp()} {job.name} running on {host} "
         f"({system.station(host).arch} binary)"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: print(
+    on(events.JOB_VACATED, lambda job, host, reason: print(
         f"{stamp()} {job.name} checkpointed off {host} — image is "
         f"{job.locked_arch}-only now"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: print(
+    on(events.JOB_COMPLETED, lambda job, station: print(
         f"{stamp()} {job.name} done"))
 
     system.start()

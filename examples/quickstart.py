@@ -44,15 +44,19 @@ def watch_lifecycle(system, sim):
     def stamp():
         return f"[{sim.now / HOUR:6.2f} h]"
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: print(
+    def on(kind, callback):
+        system.bus.subscribe_event(
+            kind, lambda event: callback(**event.payload))
+
+    on(events.JOB_PLACED, lambda job, host, home: print(
         f"{stamp()} {job.name} started on {host}"))
-    system.bus.subscribe(events.JOB_SUSPENDED, lambda job, host: print(
+    on(events.JOB_SUSPENDED, lambda job, host: print(
         f"{stamp()} {job.name} suspended — owner returned to {host}"))
-    system.bus.subscribe(events.JOB_RESUMED, lambda job, host: print(
+    on(events.JOB_RESUMED, lambda job, host: print(
         f"{stamp()} {job.name} resumed — {host}'s owner left again"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: print(
+    on(events.JOB_VACATED, lambda job, host, reason: print(
         f"{stamp()} {job.name} checkpointed off {host} ({reason})"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: print(
+    on(events.JOB_COMPLETED, lambda job, station: print(
         f"{stamp()} {job.name} COMPLETED "
         f"(demand {job.demand_seconds / HOUR:.1f} h, "
         f"{job.checkpoint_count} migrations)"))

@@ -141,6 +141,20 @@ def _pool_coordinator_crash():
     )
 
 
+def _matchmaker_partition():
+    # Same federated K=2 split as pool-coordinator-crash.  The matchmaker
+    # is cut off from both pool coordinators for two hours: adverts and
+    # lease requests drop on the floor, live leases run out and return
+    # through the pool-to-pool edge, and flocking resumes after the heal
+    # from the next changed advert.
+    return ChaosSchedule(
+        "matchmaker-partition",
+        [Partition(("matchmaker",), at=90 * MINUTE, duration=2 * HOUR)],
+        description="matchmaker isolated for two hours; leases stall, "
+                    "then resume",
+    )
+
+
 def _corrupt_restore():
     return ChaosSchedule(
         "corrupt-restore",
@@ -188,6 +202,7 @@ SCHEDULES = {
     "crash-mid-transfer": _crash_mid_transfer,
     "kitchen-sink": _kitchen_sink,
     "pool-coordinator-crash": _pool_coordinator_crash,
+    "matchmaker-partition": _matchmaker_partition,
     "corrupt-restore": _corrupt_restore,
     "torn-write": _torn_write,
     "disk-chaos": _disk_chaos,
@@ -198,7 +213,7 @@ SUITES = {
     "network": ("station-crashes", "coordinator-outage", "partition",
                 "loss-burst", "crash-mid-transfer", "kitchen-sink"),
     "storage": ("corrupt-restore", "torn-write", "disk-chaos"),
-    "federation": ("pool-coordinator-crash",),
+    "federation": ("pool-coordinator-crash", "matchmaker-partition"),
 }
 
 #: Per-scenario CondorConfig overrides, applied when the caller passes
@@ -208,6 +223,8 @@ SCENARIO_CONFIGS = {
     "corrupt-restore": {"checkpoint_generations": 2},
     "pool-coordinator-crash": {"coordinator_mode": "federated",
                                "federation_pools": 2},
+    "matchmaker-partition": {"coordinator_mode": "federated",
+                             "federation_pools": 2},
 }
 
 

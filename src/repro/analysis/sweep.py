@@ -28,9 +28,9 @@ what makes the contract above hold on every platform.
 """
 
 import dataclasses
+import multiprocessing
 
 from repro.analysis import paper
-from repro.analysis.executor import map_specs
 from repro.analysis.ablation import ABLATION_DAYS, ReplayRun, summarize
 from repro.analysis.validation import headline_metrics
 from repro.sim.errors import SimulationError
@@ -149,12 +149,17 @@ def run_spec(spec):
 def run_specs(specs, jobs=None):
     """Execute every spec; results come back **in input order**.
 
-    ``jobs=None``/``0``/``1`` runs serially in-process (no pool, no
-    pickling); ``jobs=N`` fans out over N ``spawn`` workers (via the
-    shared :mod:`repro.analysis.executor`).  Results are independent of
-    ``jobs`` — parallelism changes wall time only.
+    ``jobs=None``/``0``/``1`` (or a single spec) runs serially
+    in-process — no pool, no pickling, debuggable; ``jobs=N`` fans out
+    over ``min(N, len(specs))`` ``spawn`` workers.  Results are
+    independent of ``jobs`` — parallelism changes wall time only.
     """
-    return map_specs(run_spec, specs, jobs=jobs)
+    specs = list(specs)
+    if not jobs or jobs <= 1 or len(specs) <= 1:
+        return [run_spec(spec) for spec in specs]
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(processes=min(jobs, len(specs))) as pool:
+        return pool.map(run_spec, specs)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from repro.core.config import CondorConfig
 from repro.core.coordinator import Coordinator
 from repro.core.dag import JobDag
 from repro.core.errors import SchedulingError, SubmissionRefused
-from repro.core.faults import CrashInjector
 from repro.core.federation import Matchmaker, PoolCoordinator, federation_pools
 from repro.core.invariants import InvariantChecker, InvariantViolation
 from repro.core.events import EventBus
@@ -38,6 +37,7 @@ from repro.core.policies import (
 from repro.core.queue import FIFO, SHORTEST_FIRST, BackgroundJobQueue
 from repro.core.reservations import Reservation, ReservationBook
 from repro.core.updown import UpDownPolicy
+from repro.faults import CrashInjector
 
 __all__ = [
     "CondorSystem",

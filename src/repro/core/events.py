@@ -1,4 +1,4 @@
-"""Scheduler event names and the :class:`EventBus` compatibility shim.
+"""Scheduler event names and the :class:`EventBus` publishing surface.
 
 The event vocabulary now lives in :mod:`repro.telemetry.kinds` (shared
 with the live runtime); this module re-exports the scheduler-facing
@@ -6,11 +6,9 @@ names so historical imports (``from repro.core import events as ev``)
 keep working.
 
 :class:`EventBus` is the daemons' publishing surface over the typed
-:class:`~repro.telemetry.TelemetryHub`.  It preserves the original
-string-keyed API — ``publish(name, **payload)`` delivering
-``callback(**payload)`` — while every publication becomes a structured
-:class:`~repro.telemetry.TelemetryEvent` on the hub, where trace
-recorders and metric collectors see it.
+:class:`~repro.telemetry.TelemetryHub`: ``publish(name, **payload)``
+becomes a structured :class:`~repro.telemetry.TelemetryEvent` on the
+hub, where subscribers, trace recorders and metric collectors see it.
 """
 
 from repro.sim.errors import SimulationError
@@ -43,34 +41,19 @@ from repro.telemetry.kinds import JOB_LIFECYCLE as ALL_EVENTS  # noqa: F401
 class EventBus:
     """Synchronous pub/sub keyed by event name, backed by a hub.
 
-    Two subscription styles:
-
-    * ``subscribe(name, cb)`` — legacy: ``cb(**payload)``;
-    * ``subscribe_event(name, cb)`` — typed: ``cb(event)`` with the
-      full :class:`~repro.telemetry.TelemetryEvent` record.
-
-    Subscriber exceptions are isolated by the hub: a failing callback is
-    recorded (``bus.errors``) and emitted as a ``telemetry_error`` event
-    instead of aborting the simulation.
+    ``subscribe_event(name, cb)`` delivers ``cb(event)`` with the full
+    :class:`~repro.telemetry.TelemetryEvent` record.  Subscriber
+    exceptions are isolated by the hub: a failing callback is recorded
+    (``bus.errors``) and emitted as a ``telemetry_error`` event instead
+    of aborting the simulation.
     """
 
     def __init__(self, hub=None):
         #: The underlying typed spine (shared with ledgers, recorders).
         self.hub = hub or TelemetryHub()
-        self._legacy = {}
 
     # ------------------------------------------------------------------
     # subscription
-
-    def subscribe(self, event, callback):
-        """Register ``callback(**payload)`` for ``event``."""
-        self._check(event)
-
-        def deliver(evt, _callback=callback):
-            _callback(**evt.payload)
-
-        self._legacy.setdefault((event, callback), []).append(deliver)
-        self.hub.subscribe(event, deliver)
 
     def subscribe_event(self, event, callback):
         """Register a typed ``callback(event)`` for ``event``."""
@@ -78,14 +61,8 @@ class EventBus:
         self.hub.subscribe(event, callback)
 
     def unsubscribe(self, event, callback):
-        """Remove one registration (either style); returns success."""
+        """Remove one registration; returns success."""
         self._check(event)
-        wrappers = self._legacy.get((event, callback))
-        if wrappers:
-            deliver = wrappers.pop()
-            if not wrappers:
-                del self._legacy[(event, callback)]
-            return self.hub.unsubscribe(event, deliver)
         return self.hub.unsubscribe(event, callback)
 
     # ------------------------------------------------------------------

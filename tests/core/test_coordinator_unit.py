@@ -57,9 +57,9 @@ class TestHostSelection:
         system = build(sim, self.specs(), config=config)
         system.start()
         placed = []
-        system.bus.subscribe(
+        system.bus.subscribe_event(
             events.JOB_PLACED,
-            lambda job, host, home: placed.append(host),
+            lambda event: placed.append(event.payload["host"]),
         )
         sim.run(until=1000.0)   # let the owner traces play out
         submit(system, 1)
@@ -145,8 +145,9 @@ class TestCycleTelemetry:
         system = build(sim, [StationSpec("h0",
                                          owner_model=NeverActiveOwner())])
         cycles = []
-        system.bus.subscribe(events.COORDINATOR_CYCLE,
-                             lambda **payload: cycles.append(payload))
+        system.bus.subscribe_event(
+            events.COORDINATOR_CYCLE,
+            lambda event: cycles.append(event.payload))
         system.start()
         submit(system, 1)
         sim.run(until=130.0)
@@ -181,8 +182,9 @@ class TestPollParallelism:
         for i in range(20):
             system.scheduler(f"h{i}").crash()
         cycles = []
-        system.bus.subscribe(events.COORDINATOR_CYCLE,
-                             lambda **payload: cycles.append(payload))
+        system.bus.subscribe_event(
+            events.COORDINATOR_CYCLE,
+            lambda event: cycles.append(event.payload))
         sim.run(until=600.0)
         # Cycles still complete roughly every poll interval + one timeout.
         assert len(cycles) >= 3

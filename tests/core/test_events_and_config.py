@@ -10,8 +10,8 @@ class TestEventBus:
     def test_publish_reaches_subscribers(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(events.JOB_SUBMITTED,
-                      lambda **payload: seen.append(payload))
+        bus.subscribe_event(events.JOB_SUBMITTED,
+                            lambda event: seen.append(event.payload))
         bus.publish(events.JOB_SUBMITTED, job="j", station="ws-1")
         assert seen == [{"job": "j", "station": "ws-1"}]
 
@@ -25,8 +25,8 @@ class TestEventBus:
         bus = EventBus()
         seen = []
         for tag in ("a", "b"):
-            bus.subscribe(events.JOB_COMPLETED,
-                          lambda tag=tag, **payload: seen.append(tag))
+            bus.subscribe_event(events.JOB_COMPLETED,
+                                lambda event, tag=tag: seen.append(tag))
         bus.publish(events.JOB_COMPLETED, job=None, station="s")
         assert sorted(seen) == ["a", "b"]
 
@@ -36,7 +36,7 @@ class TestEventBus:
 
     def test_unknown_event_rejected_on_subscribe(self):
         with pytest.raises(SimulationError):
-            EventBus().subscribe("job_teleported", lambda **kw: None)
+            EventBus().subscribe_event("job_teleported", lambda e: None)
 
     def test_publish_without_subscribers_is_fine(self):
         EventBus().publish(events.JOB_KILLED, job=None, host="h")

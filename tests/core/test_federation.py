@@ -93,9 +93,10 @@ class TestCrossPoolLeases:
         )
         grants = collect(system.bus, events.CROSS_POOL_LEASE_GRANTED)
         placed = []
-        system.bus.subscribe(
+        system.bus.subscribe_event(
             events.JOB_PLACED,
-            lambda job, host, home: placed.append((host, home)),
+            lambda event: placed.append(
+                (event.payload["host"], event.payload["home"])),
         )
         system.start()
         job = Job(user="A", home="b0", demand_seconds=1 * HOUR)

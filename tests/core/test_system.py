@@ -150,9 +150,9 @@ class TestOwnerReturns:
         system.start()
         job = submit_job(system, demand=600.0)
         vacate_times = []
-        system.bus.subscribe(
+        system.bus.subscribe_event(
             events.JOB_VACATED,
-            lambda job, host, reason: vacate_times.append(sim.now),
+            lambda event: vacate_times.append(sim.now),
         )
         system.run(until=3000.0)
         # Owner at 300, grace 5 min -> vacate completes shortly after 600.

@@ -2,6 +2,8 @@
 and the acceptance suite (every named scenario completes with zero lost
 jobs, zero duplicate completions, and a byte-identical replay)."""
 
+import json
+
 import pytest
 
 from repro.analysis.chaos import SCHEDULES, replay_identical, run_chaos
@@ -305,3 +307,22 @@ def test_loss_burst_restores_prior_rate():
     sim.run(until=20.0)
     assert rates["inside"] == 0.9
     assert system.network.loss_probability == 0.0
+
+
+def test_matchmaker_partition_stalls_then_resumes_flocking():
+    identical, run = replay_identical("matchmaker-partition", seed=7)
+    assert identical, "matchmaker-partition: replay trace differs"
+    assert run.system.matchmaker is not None
+    assert run.injector.injected == 1 and run.injector.cleared == 1
+    assert run.no_lost.ok
+    assert all(job.finished for job in run.jobs)
+    # Leases flow before the cut, none is granted while the matchmaker
+    # is isolated, and flocking resumes after the heal.
+    partition = run.schedule.actions[0]
+    start, end = partition.at, partition.at + partition.duration
+    records = (json.loads(line) for line in run.trace_lines)
+    granted = [record["t"] for record in records
+               if record["kind"] == kinds.CROSS_POOL_LEASE_GRANTED]
+    assert granted
+    assert not [t for t in granted if start <= t < end]
+    assert any(t >= end for t in granted)

@@ -278,25 +278,3 @@ def test_compaction_preserves_dispatch_order():
     assert sim.events_dispatched == n_live
     assert sim._ncancelled == 0
 
-
-def test_compaction_preserves_locus_keys():
-    """Compacting a locus-mode agenda must keep the (time, locus-key)
-    entries intact — same-timestamp dispatch stays locus-ordered."""
-    from repro.sim import kernel
-
-    sim = Simulation()
-    sim.enable_locus_mode()
-    seen = []
-    with sim.locus(7):
-        doomed = [sim.schedule(1e6 + i, seen.append, "dead")
-                  for i in range(kernel._COMPACT_MIN_DEAD + 50)]
-    # Same timestamp, descending scheduling locus: dispatch must come
-    # back ascending after the compaction.
-    for locus in (5, 3, 1):
-        with sim.locus(locus):
-            sim.schedule(10.0, seen.append, locus)
-    for handle in doomed:
-        handle.cancel()
-    assert sim._ncancelled < kernel._COMPACT_MIN_DEAD
-    sim.run(until=20.0)
-    assert seen == [1, 3, 5]

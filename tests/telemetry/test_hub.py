@@ -111,32 +111,12 @@ class TestTelemetryHub:
 
 
 class TestEventBusShim:
-    def test_legacy_kwargs_subscription(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(events.JOB_SUBMITTED,
-                      lambda **payload: seen.append(payload))
-        bus.publish(events.JOB_SUBMITTED, job="j", station="ws-1")
-        assert seen == [{"job": "j", "station": "ws-1"}]
-
     def test_publish_returns_typed_event(self):
         bus = EventBus()
         event = bus.publish(events.JOB_PLACED, job="j", host="h", home="m")
         assert event.kind == events.JOB_PLACED
         assert event.source == "h"
         assert event.seq == 0
-
-    def test_unsubscribe_legacy_callback(self):
-        bus = EventBus()
-        seen = []
-
-        def on_submit(**payload):
-            seen.append(payload)
-
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
-        assert bus.unsubscribe(events.JOB_SUBMITTED, on_submit)
-        bus.publish(events.JOB_SUBMITTED, job="j", station="s")
-        assert seen == []
 
     def test_unsubscribe_typed_callback(self):
         bus = EventBus()
@@ -150,11 +130,11 @@ class TestEventBusShim:
         bus = EventBus()
         seen = []
 
-        def on_submit(**payload):
-            seen.append(payload)
+        def on_submit(event):
+            seen.append(event.payload)
 
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
+        bus.subscribe_event(events.JOB_SUBMITTED, on_submit)
+        bus.subscribe_event(events.JOB_SUBMITTED, on_submit)
         bus.unsubscribe(events.JOB_SUBMITTED, on_submit)
         bus.publish(events.JOB_SUBMITTED, job="j", station="s")
         assert len(seen) == 1
@@ -162,9 +142,9 @@ class TestEventBusShim:
     def test_failing_subscriber_does_not_abort_publish(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(events.JOB_VACATED, lambda **kw: 1 / 0)
-        bus.subscribe(events.JOB_VACATED,
-                      lambda **kw: seen.append(kw))
+        bus.subscribe_event(events.JOB_VACATED, lambda event: 1 / 0)
+        bus.subscribe_event(events.JOB_VACATED,
+                            lambda event: seen.append(event.payload))
         bus.publish(events.JOB_VACATED, job="j", host="h", reason="r")
         assert len(seen) == 1
         assert len(bus.errors) == 1
