@@ -98,6 +98,22 @@ class UpDownPolicy:
         self._materialize(name, len(self._history))
         return self._index[name]
 
+    def export_indices(self):
+        """``{name: index}`` for every tracked station, as of now — the
+        state :meth:`restore_indices` takes back (e.g. after a restart)."""
+        return {name: self.index(name) for name in sorted(self._index)}
+
+    def restore_indices(self, indices):
+        """Track every station in ``indices`` at the given index.
+
+        Each restored index counts as current: only cycles that run
+        after the restore decay it, never history it did not see.
+        """
+        through = len(self._history)
+        for name, value in indices.items():
+            self._index[name] = float(value)
+            self._synced[name] = through
+
     def update(self, wanting, allocated_counts, dt_seconds):
         """One coordinator cycle's index maintenance.
 

@@ -19,12 +19,13 @@ Epoch fencing (PR 4/7's placement-lease machinery on real sockets):
   own during its placement cycle and abdicates (stops placing, answers
   agents with ``stale_coordinator``) instead of fighting the new one.
 
-Recovery sequence on start: bump epoch → read queue + in-flight rows →
-give each in-flight job a reconcile window.  Agents that re-register
-reporting the matching ``(job, incarnation)`` keep their work (adopted
-in place); anything unclaimed when the window closes is vacated to the
-queue *head* and re-placed, resuming from its last fenced checkpoint
-image.
+Recovery sequence on start: open the database (which materializes the
+pending queue from sqlite) → bump epoch → restore the Up-Down indices
+and read the in-flight rows → give each in-flight job a reconcile
+window.  Agents that re-register reporting the matching ``(job,
+incarnation)`` keep their work (adopted in place); anything unclaimed
+when the window closes is vacated to the queue *head* and re-placed,
+resuming from its last fenced checkpoint image.
 """
 
 import socket
@@ -76,7 +77,6 @@ class CoordinatorDaemon:
         self._draining = False
         self._agents = {}
         self._reconcile = {}        # key -> adoption deadline
-        self._owners = []           # registration order for the policy
         self._last_update = None
         self._lock = threading.RLock()
         self._halt = threading.Event()
@@ -111,11 +111,7 @@ class CoordinatorDaemon:
 
     def _recover(self):
         """Rebuild the volatile picture from the durable one."""
-        saved = self.db.load_owner_indices()
-        for owner in sorted(saved):
-            self.policy.register_station(owner)
-            self.policy._index[owner] = saved[owner]
-            self._owners.append(owner)
+        self.policy.restore_indices(self.db.load_owner_indices())
         deadline = self.clock() + self.reconcile_timeout
         for key, _agent, _inc, _epoch, _prog, _owner in self.db.inflight():
             self._reconcile[key] = deadline
@@ -258,19 +254,10 @@ class CoordinatorDaemon:
             {"key": key, "state": record_state, "agent": agent,
              "progress": progress, "owner": owner}
             for key, record_state, agent, progress, owner
-            in self._job_rows(msg.get("limit"))
+            in self.db.job_rows(msg.get("limit"))
         ]
         return {"ok": True, "epoch": self.epoch, "agents": agents,
                 "jobs": jobs, **self._progress_snapshot()}
-
-    def _job_rows(self, limit=None):
-        sql = ("SELECT s.key, s.state, s.agent, s.progress, j.user "
-               "FROM service_jobs s JOIN jobs j ON j.key = s.key "
-               "ORDER BY j.id")
-        if limit:
-            sql += f" LIMIT {int(limit)}"
-        with self.db._lock:
-            return self.db._db.execute(sql).fetchall()
 
     def _op_rm(self, msg):
         key = msg.get("key")
@@ -462,81 +449,71 @@ class CoordinatorDaemon:
             del self._reconcile[key]
             self.db.vacate(key, reason="unreconciled_after_takeover")
 
-    def _register_owner(self, owner):
-        if owner not in self.policy._index:
-            self.policy.register_station(owner)
-            self._owners.append(owner)
-
     def _place_cycle(self):
+        """One Up-Down placement round, O(owners + placements).
+
+        Reads the database's materialized queue, never the backlog: each
+        queued owner's first few keys plus every owner's holdings.  The
+        ranking is fixed for the cycle, so owners take one placement per
+        round in rank order until the idle agents or the per-cycle
+        budget run out.
+        """
         now = self.clock()
         dt = (now - self._last_update) if self._last_update else 0.0
         self._last_update = now
-
-        queue = self.db.queue()
-        inflight = self.db.inflight()
-        # Skip jobs still inside their reconcile window: their agent may
-        # yet re-register and adopt them.
-        wanting = list(dict.fromkeys(
-            owner for _key, _entry, _payload, owner, _progress in queue))
-        holding = {}
-        for _key, _agent, _inc, _epoch, _prog, owner in inflight:
-            holding[owner] = holding.get(owner, 0) + 1
-        for owner in wanting:
-            self._register_owner(owner)
-        for owner in sorted(holding):
-            self._register_owner(owner)
-        self.policy.update(set(wanting), holding, dt)
 
         with self._lock:
             idle = [state for _name, state in sorted(self._agents.items())
                     if state.job is None and not state.commands
                     and now - state.last_beat <= self.agent_timeout]
-        by_owner = {}
-        for key, entry, payload, owner, progress in queue:
-            by_owner.setdefault(owner, []).append(
-                (key, entry, payload, progress))
+        budget = min(self.placements_per_cycle, len(idle))
+        heads, holding = self.db.placement_view(depth=budget)
+        for owner in heads.keys() | holding.keys():
+            self.policy.register_station(owner)
+        self.policy.update(set(heads), holding, dt)
+        if not budget:
+            return
 
-        placements = 0
-        placed_any = False
-        progressing = True
-        while (placements < self.placements_per_cycle and idle
-               and progressing):
-            progressing = False
-            for owner in self.policy.rank_requesters(list(by_owner)):
-                if placements >= self.placements_per_cycle or not idle:
-                    break
-                pending = by_owner.get(owner)
-                if not pending:
-                    continue
-                key, entry, payload, progress = pending.pop(0)
-                if not pending:
-                    del by_owner[owner]
-                agent_state = idle.pop(0)
-                try:
-                    incarnation = self.db.place(key, agent_state.name,
-                                                self.epoch)
-                except ServiceError:
-                    continue
-                command = {"cmd": "start", "job": {
-                    "key": key, "entry": entry, "payload": payload,
-                    "name": key, "incarnation": incarnation,
-                    "epoch": self.epoch}}
-                with self._lock:
-                    live = self._agents.get(agent_state.name)
-                    if live is not None:
-                        live.commands.append(command)
-                        live.job = key
-                placements += 1
-                placed_any = True
-                progressing = True
-        if placed_any:
-            self.db.save_owner_indices({
-                owner: self.policy.index(owner)
-                for owner in self._owners})
+        placed = 0
+        for key in _round_robin(self.policy.rank_requesters(list(heads)),
+                                heads):
+            if placed == budget:
+                break
+            agent_state = idle[placed]
+            try:
+                incarnation = self.db.place(key, agent_state.name,
+                                            self.epoch)
+            except ServiceError:
+                # The view promised a queued job that sqlite does not
+                # hold: trust sqlite and place again next cycle.
+                self.db.rebuild_view()
+                break
+            record = self.db.job(key)
+            command = {"cmd": "start", "job": {
+                "key": key, "entry": record["entry"],
+                "payload": record["payload"], "name": key,
+                "incarnation": incarnation, "epoch": self.epoch}}
+            with self._lock:
+                live = self._agents.get(agent_state.name)
+                if live is not None:
+                    live.commands.append(command)
+                    live.job = key
+            placed += 1
+        if placed:
+            self.db.save_owner_indices(self.policy.export_indices())
 
     def __repr__(self):
         return (f"<CoordinatorDaemon {self.endpoint} epoch={self.epoch} "
                 f"deposed={self.deposed}>")
+
+
+def _round_robin(ranked, heads):
+    """Keys in placement order: one per owner per round, in rank order,
+    each owner's keys in queue order."""
+    while ranked:
+        for owner in ranked:
+            yield heads[owner].pop(0)
+        ranked = [owner for owner in ranked if heads[owner]]
 
 
 class StandbyCoordinator:

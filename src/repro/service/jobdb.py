@@ -25,6 +25,16 @@ tables:
 ``service_owners``  persisted Up-Down schedule indices;
 ``service_agents``  last registration of every station agent.
 
+The placement loop does not re-read the queue from sqlite.  Each
+:class:`JobDatabase` keeps a *materialized view* of it in memory: per
+owner, the keys of its queued jobs in queue order, and per owner, the
+number of jobs in flight.  The transitions maintain the view under the
+database lock, after their transaction commits; it is rebuilt from
+sqlite when the database is opened (cold restart, standby takeover) and
+whenever another connection has committed since the last look.  The view
+holds keys only: entry points and payloads stay on disk and are read
+for the one job being placed.
+
 Durability discipline: WAL journal with ``synchronous=FULL`` (every
 commit reaches the disk before the transition is acknowledged), and
 every lifecycle transition is exactly one transaction — there is no
@@ -35,6 +45,8 @@ import json
 import sqlite3
 import threading
 import time
+from collections import deque
+from itertools import islice
 
 from repro.service.errors import ServiceError
 from repro.telemetry.store import SCHEMA_VERSION, _SCHEMA
@@ -121,6 +133,7 @@ class JobDatabase:
                 self._meta_set("schema_version", str(SCHEMA_VERSION))
             if self._meta("service_t0") is None:
                 self._meta_set("service_t0", repr(clock()))
+        self.rebuild_view()
 
     # -- plumbing ------------------------------------------------------
 
@@ -159,6 +172,60 @@ class JobDatabase:
         with self._lock:
             return int(self._meta(name, "0"))
 
+    # -- the materialized queue ----------------------------------------
+
+    def rebuild_view(self):
+        """Re-read the pending queue and the holdings from sqlite."""
+        with self._lock:
+            # Read the version first: a commit landing during the reads
+            # below then only costs one more rebuild, never a stale view.
+            self._data_version = self._data_version_now()
+            self._pending = {}
+            for key, owner in self._db.execute(
+                    "SELECT q.key, j.user FROM service_queue q "
+                    "JOIN jobs j ON j.key = q.key ORDER BY q.pos"):
+                self._pending.setdefault(owner, deque()).append(key)
+            self._held = dict(self._db.execute(
+                "SELECT j.user, COUNT(*) FROM service_jobs s "
+                "JOIN jobs j ON j.key = s.key "
+                "WHERE s.state IN (?, ?, ?) GROUP BY j.user",
+                INFLIGHT_STATES).fetchall())
+
+    def _data_version_now(self):
+        """Changes only when *another* connection commits to the file."""
+        return self._db.execute("PRAGMA data_version").fetchone()[0]
+
+    def placement_view(self, depth=1):
+        """The queue as one placement cycle needs it:
+        ``({owner: [key, ...]}, {owner: jobs in flight})``.
+
+        Each owner with queued jobs maps to its first ``depth`` keys in
+        queue order (all of them for ``None``).  The cost is
+        O(owners × depth), whatever the backlog.  A commit by another
+        connection since the last call (a deposed coordinator still
+        finishing a request) rebuilds the view from sqlite first.
+        """
+        with self._lock:
+            if self._data_version_now() != self._data_version:
+                self.rebuild_view()
+            return ({owner: list(islice(keys, depth))
+                     for owner, keys in self._pending.items()},
+                    dict(self._held))
+
+    def _unqueue(self, owner, key):
+        keys = self._pending.get(owner)
+        if keys is not None and key in keys:
+            keys.remove(key)        # O(1) for the head, the common case
+            if not keys:
+                del self._pending[owner]
+
+    def _hold(self, owner, delta):
+        held = self._held.get(owner, 0) + delta
+        if held > 0:
+            self._held[owner] = held
+        else:
+            self._held.pop(owner, None)
+
     # -- epoch fencing -------------------------------------------------
 
     @property
@@ -186,60 +253,73 @@ class JobDatabase:
     def submit(self, entry, payload=None, name=None, owner="anonymous",
                demand_seconds=0.0):
         """submitted: new job at the queue tail; returns its key."""
-        with self._lock, self._db:
-            job_id = int(self._meta("service_next_job_id", "1"))
-            self._meta_set("service_next_job_id", job_id + 1)
-            key = f"#{job_id}"
-            now = self._now()
-            self._db.execute(
-                "INSERT INTO service_jobs (key, entry, payload, state) "
-                "VALUES (?, ?, ?, ?)",
-                (key, entry, json.dumps(payload or {}, sort_keys=True),
-                 SUBMITTED))
-            tail = self._db.execute(
-                "SELECT COALESCE(MAX(pos), 0.0) + 1.0 FROM service_queue"
-            ).fetchone()[0]
-            self._db.execute(
-                "INSERT INTO service_queue (pos, key) VALUES (?, ?)",
-                (tail, key))
-            self._db.execute(
-                "INSERT INTO jobs (key, id, name, user, home, "
-                "demand_seconds, status, submitted_t) "
-                "VALUES (?, ?, ?, ?, ?, ?, 'queued', ?)",
-                (key, job_id, name or f"job-{job_id}", owner, owner,
-                 demand_seconds, now))
+        with self._lock:
+            with self._db:
+                job_id = int(self._meta("service_next_job_id", "1"))
+                self._meta_set("service_next_job_id", job_id + 1)
+                key = f"#{job_id}"
+                now = self._now()
+                self._db.execute(
+                    "INSERT INTO service_jobs (key, entry, payload, state) "
+                    "VALUES (?, ?, ?, ?)",
+                    (key, entry, json.dumps(payload or {}, sort_keys=True),
+                     SUBMITTED))
+                tail = self._db.execute(
+                    "SELECT COALESCE(MAX(pos), 0.0) + 1.0 "
+                    "FROM service_queue").fetchone()[0]
+                self._db.execute(
+                    "INSERT INTO service_queue (pos, key) VALUES (?, ?)",
+                    (tail, key))
+                self._db.execute(
+                    "INSERT INTO jobs (key, id, name, user, home, "
+                    "demand_seconds, status, submitted_t) "
+                    "VALUES (?, ?, ?, ?, ?, ?, 'queued', ?)",
+                    (key, job_id, name or f"job-{job_id}", owner, owner,
+                     demand_seconds, now))
+            self._pending.setdefault(owner, deque()).append(key)
             return key
 
     def place(self, key, agent, epoch):
         """placed: pop from the queue, assign to ``agent``; returns the
         new incarnation number."""
-        with self._lock, self._db:
-            row = self._db.execute(
-                "SELECT state, incarnation FROM service_jobs "
-                "WHERE key = ?", (key,)).fetchone()
-            if row is None or row[0] not in QUEUED_STATES:
-                raise ServiceError(
-                    f"cannot place {key}: state "
-                    f"{row[0] if row else 'missing'!r}")
-            incarnation = row[1] + 1
-            self._db.execute(
-                "DELETE FROM service_queue WHERE key = ?", (key,))
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, agent = ?, "
-                "incarnation = ?, epoch = ? WHERE key = ?",
-                (PLACED, agent, incarnation, epoch, key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'running', last_host = ?, "
-                "placements = placements + 1, first_placed_t = "
-                "COALESCE(first_placed_t, ?) WHERE key = ?",
-                (agent, self._now(), key))
+        with self._lock:
+            with self._db:
+                row = self._db.execute(
+                    "SELECT s.state, s.incarnation, j.user "
+                    "FROM service_jobs s JOIN jobs j ON j.key = s.key "
+                    "WHERE s.key = ?", (key,)).fetchone()
+                if row is None or row[0] not in QUEUED_STATES:
+                    raise ServiceError(
+                        f"cannot place {key}: state "
+                        f"{row[0] if row else 'missing'!r}")
+                incarnation = row[1] + 1
+                self._db.execute(
+                    "DELETE FROM service_queue WHERE key = ?", (key,))
+                self._db.execute(
+                    "UPDATE service_jobs SET state = ?, agent = ?, "
+                    "incarnation = ?, epoch = ? WHERE key = ?",
+                    (PLACED, agent, incarnation, epoch, key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'running', last_host = ?, "
+                    "placements = placements + 1, first_placed_t = "
+                    "COALESCE(first_placed_t, ?) WHERE key = ?",
+                    (agent, self._now(), key))
+            self._unqueue(row[2], key)
+            self._hold(row[2], +1)
             return incarnation
 
     def _guarded(self, key, agent, incarnation):
-        """The job's row iff (agent, incarnation) still own it."""
+        """``(state, owner)`` iff (agent, incarnation) still own the job."""
         return self._db.execute(
-            "SELECT state FROM service_jobs WHERE key = ? AND agent = ? "
-            "AND incarnation = ?", (key, agent, incarnation)).fetchone()
+            "SELECT s.state, j.user FROM service_jobs s "
+            "JOIN jobs j ON j.key = s.key WHERE s.key = ? AND s.agent = ? "
+            "AND s.incarnation = ?", (key, agent, incarnation)).fetchone()
+
+    def _state_and_owner(self, key):
+        return self._db.execute(
+            "SELECT s.state, j.user FROM service_jobs s "
+            "JOIN jobs j ON j.key = s.key WHERE s.key = ?",
+            (key,)).fetchone()
 
     def running(self, key, agent, incarnation):
         """running: the agent confirmed execution began."""
@@ -288,57 +368,63 @@ class JobDatabase:
         its job re-placed) is rejected and counted, preserving
         exactly-once completion.
         """
-        with self._lock, self._db:
-            row = self._guarded(key, agent, incarnation)
-            if row is None or row[0] not in INFLIGHT_STATES:
-                self._bump("service_stale_results_rejected")
-                return False
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, result = ? "
-                "WHERE key = ?", (DONE, json.dumps(result), key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'completed', completed_t = ? "
-                "WHERE key = ?", (self._now(), key))
+        with self._lock:
+            with self._db:
+                row = self._guarded(key, agent, incarnation)
+                if row is None or row[0] not in INFLIGHT_STATES:
+                    self._bump("service_stale_results_rejected")
+                    return False
+                self._db.execute(
+                    "UPDATE service_jobs SET state = ?, result = ? "
+                    "WHERE key = ?", (DONE, json.dumps(result), key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'completed', completed_t = ? "
+                    "WHERE key = ?", (self._now(), key))
+            self._hold(row[1], -1)
             return True
 
     def fail(self, key, agent, incarnation, error):
         """failed: the job function itself raised (not an infra fault)."""
-        with self._lock, self._db:
-            row = self._guarded(key, agent, incarnation)
-            if row is None or row[0] not in INFLIGHT_STATES:
-                self._bump("service_stale_results_rejected")
-                return False
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, error = ? "
-                "WHERE key = ?", (FAILED, str(error), key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'failed', completed_t = ? "
-                "WHERE key = ?", (self._now(), key))
+        with self._lock:
+            with self._db:
+                row = self._guarded(key, agent, incarnation)
+                if row is None or row[0] not in INFLIGHT_STATES:
+                    self._bump("service_stale_results_rejected")
+                    return False
+                self._db.execute(
+                    "UPDATE service_jobs SET state = ?, error = ? "
+                    "WHERE key = ?", (FAILED, str(error), key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'failed', completed_t = ? "
+                    "WHERE key = ?", (self._now(), key))
+            self._hold(row[1], -1)
             return True
 
     def vacate(self, key, reason="vacated", requeue=True):
         """vacated: back to the queue **head** — the job keeps its age
         and is re-placed before younger submissions (resume, not
         restart).  Returns False if the job is not in flight."""
-        with self._lock, self._db:
-            row = self._db.execute(
-                "SELECT state FROM service_jobs WHERE key = ?",
-                (key,)).fetchone()
-            if row is None or row[0] not in INFLIGHT_STATES:
-                return False
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, agent = NULL "
-                "WHERE key = ?", (VACATED, key))
-            if requeue:
-                head = self._db.execute(
-                    "SELECT COALESCE(MIN(pos), 1.0) - 1.0 "
-                    "FROM service_queue").fetchone()[0]
+        with self._lock:
+            with self._db:
+                row = self._state_and_owner(key)
+                if row is None or row[0] not in INFLIGHT_STATES:
+                    return False
                 self._db.execute(
-                    "INSERT INTO service_queue (pos, key) VALUES (?, ?)",
-                    (head, key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'queued', vacates = vacates + 1 "
-                "WHERE key = ?", (key,))
+                    "UPDATE service_jobs SET state = ?, agent = NULL "
+                    "WHERE key = ?", (VACATED, key))
+                if requeue:
+                    head = self._db.execute(
+                        "SELECT COALESCE(MIN(pos), 1.0) - 1.0 "
+                        "FROM service_queue").fetchone()[0]
+                    self._db.execute(
+                        "INSERT INTO service_queue (pos, key) "
+                        "VALUES (?, ?)", (head, key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'queued', "
+                    "vacates = vacates + 1 WHERE key = ?", (key,))
+            self._hold(row[1], -1)
+            if requeue:
+                self._pending.setdefault(row[1], deque()).appendleft(key)
             return True
 
     def stop(self, key):
@@ -347,27 +433,31 @@ class JobDatabase:
         An in-flight job is marked stopped immediately — the daemon
         tells its agent to drop it, and any later exit report from that
         incarnation is rejected as stale."""
-        with self._lock, self._db:
-            row = self._db.execute(
-                "SELECT state FROM service_jobs WHERE key = ?",
-                (key,)).fetchone()
-            if row is None or row[0] in FINAL_STATES:
-                return False
-            self._db.execute(
-                "DELETE FROM service_queue WHERE key = ?", (key,))
-            self._db.execute(
-                "UPDATE service_jobs SET state = ? WHERE key = ?",
-                (STOPPED, key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'removed' WHERE key = ?",
-                (key,))
+        with self._lock:
+            with self._db:
+                row = self._state_and_owner(key)
+                if row is None or row[0] in FINAL_STATES:
+                    return False
+                self._db.execute(
+                    "DELETE FROM service_queue WHERE key = ?", (key,))
+                self._db.execute(
+                    "UPDATE service_jobs SET state = ? WHERE key = ?",
+                    (STOPPED, key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'removed' WHERE key = ?",
+                    (key,))
+            if row[0] in INFLIGHT_STATES:
+                self._hold(row[1], -1)
+            else:
+                self._unqueue(row[1], key)
             return True
 
-    # -- recovery reads ------------------------------------------------
+    # -- reads ---------------------------------------------------------
 
     def queue(self):
-        """Pending jobs in placement order:
-        ``[(key, entry, payload, owner, progress), ...]``."""
+        """Pending jobs in placement order, read from sqlite:
+        ``[(key, entry, payload, owner, progress), ...]``.  O(backlog);
+        the placement loop reads :meth:`placement_view` instead."""
         with self._lock:
             rows = self._db.execute(
                 "SELECT q.key, s.entry, s.payload, j.user, s.progress "
@@ -379,7 +469,7 @@ class JobDatabase:
                 for key, entry, payload, owner, progress in rows]
 
     def inflight(self):
-        """Placed/running/checkpointed jobs:
+        """Placed/running/checkpointed jobs, read from sqlite:
         ``[(key, agent, incarnation, epoch, progress, owner), ...]``."""
         with self._lock:
             return self._db.execute(
@@ -403,6 +493,20 @@ class JobDatabase:
         record = dict(zip(names, row))
         record["payload"] = json.loads(record["payload"])
         return record
+
+    def job_rows(self, limit=None):
+        """Every job in submission order (the ``q`` verb's listing):
+        ``[(key, state, agent, progress, owner), ...]``, the first
+        ``limit`` only when it is given."""
+        sql = ("SELECT s.key, s.state, s.agent, s.progress, j.user "
+               "FROM service_jobs s JOIN jobs j ON j.key = s.key "
+               "ORDER BY j.id")
+        params = ()
+        if limit:
+            sql += " LIMIT ?"
+            params = (int(limit),)
+        with self._lock:
+            return self._db.execute(sql, params).fetchall()
 
     def counts(self):
         """``{state: jobs}`` plus queue depth (the ``q`` verb's core)."""

@@ -68,6 +68,44 @@ class TestUpDownRanking:
         assert policy.rank_requesters(["b", "a"]) == ["a", "b"]
 
 
+class TestUpDownSaveRestore:
+    CYCLES = [
+        ({"light"}, {"heavy": 3}, 2 * MINUTE),
+        (set(), {"heavy": 1, "light": 1}, 5 * MINUTE),
+        ({"mid"}, {}, 7 * MINUTE),
+        (set(), {}, 30 * MINUTE),
+        ({"heavy", "light"}, {"mid": 2}, MINUTE),
+    ]
+
+    def run(self, policy, cycles):
+        for wanting, held, dt in cycles:
+            for name in sorted(wanting | held.keys()):
+                policy.register_station(name)
+            policy.update(wanting, held, dt)
+
+    def test_restored_policy_ranks_and_decays_identically(self):
+        saved = UpDownPolicy()
+        self.run(saved, self.CYCLES)
+        indices = saved.export_indices()
+        assert set(indices) == {"heavy", "light", "mid"}
+
+        restored = UpDownPolicy()
+        # Its own older history must not decay the restored indices.
+        restored.register_station("heavy")
+        self.run(restored, [(set(), {"other": 4}, 60 * MINUTE)] * 3)
+        restored.restore_indices(indices)
+        names = sorted(indices)
+        assert {name: restored.index(name) for name in names} == indices
+
+        for cycle in self.CYCLES:
+            self.run(saved, [cycle])
+            self.run(restored, [cycle])
+            assert ({name: restored.index(name) for name in names}
+                    == {name: saved.index(name) for name in names})
+            assert (restored.rank_requesters(names)
+                    == saved.rank_requesters(names))
+
+
 class TestUpDownPreemption:
     def make_policy(self):
         policy = UpDownPolicy(preemption_margin=2.0)

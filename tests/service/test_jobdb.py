@@ -1,8 +1,16 @@
 """Job-database tests: one transaction per transition, crash recovery."""
 
+import os
+import shutil
 import sqlite3
+import tempfile
+from collections import Counter
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.service import jobdb
 from repro.service.errors import ServiceError
@@ -179,3 +187,104 @@ class TestQueryPlaneCompatibility:
             "SELECT state FROM service_jobs WHERE key = ?",
             (key,)).fetchone() == ("submitted",)
         other.close()
+
+
+class TestCommitByAnotherConnection:
+    def test_view_rebuilds_after_a_foreign_commit(self, db):
+        # A deposed coordinator may still commit a submit or a placement
+        # on its own connection; the view must not miss it.
+        mine = db.submit("m:f", owner="ann")
+        other = JobDatabase(db.path)
+        theirs = other.submit("m:f", owner="bob")
+        other.place(mine, "agent-a", epoch=1)
+        other.close()
+        assert db.placement_view() == ({"bob": [theirs]}, {"ann": 1})
+
+
+OWNERS = ("ann", "bob", "cy")
+AGENTS = ("agent-a", "agent-b")
+
+
+class QueueViewMachine(RuleBasedStateMachine):
+    """Random transitions; the materialized view must always equal what
+    sqlite says, and a reopen must rebuild exactly the same view."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp()
+        self.path = os.path.join(self.dir, "svc.sqlite")
+        self.db = JobDatabase(self.path)
+        self.keys = []
+        self.placed = {}    # key -> (agent, incarnation) of its last place
+
+    def teardown(self):
+        self.db.close()
+        shutil.rmtree(self.dir)
+
+    def full_view(self):
+        return self.db.placement_view(depth=None)
+
+    @rule(owner=st.sampled_from(OWNERS))
+    def submit(self, owner):
+        self.keys.append(self.db.submit("m:f", owner=owner))
+
+    @precondition(lambda self: self.keys)
+    @rule(data=st.data(), agent=st.sampled_from(AGENTS))
+    def place(self, data, agent):
+        key = data.draw(st.sampled_from(self.keys))
+        queued = self.db.job(key)["state"] in jobdb.QUEUED_STATES
+        try:
+            self.placed[key] = (agent, self.db.place(key, agent, epoch=1))
+        except ServiceError:
+            assert not queued
+        else:
+            assert queued
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data(), stale=st.booleans(), failed=st.booleans())
+    def finish(self, data, stale, failed):
+        key = data.draw(st.sampled_from(sorted(self.placed)))
+        agent, incarnation = self.placed[key]
+        if stale:
+            incarnation -= 1
+        inflight = self.db.job(key)["state"] in jobdb.INFLIGHT_STATES
+        if failed:
+            accepted = self.db.fail(key, agent, incarnation, "boom")
+        else:
+            accepted = self.db.complete(key, agent, incarnation)
+        assert accepted == (inflight and not stale)
+
+    @precondition(lambda self: self.keys)
+    @rule(data=st.data(), requeue=st.booleans())
+    def vacate(self, data, requeue):
+        key = data.draw(st.sampled_from(self.keys))
+        inflight = self.db.job(key)["state"] in jobdb.INFLIGHT_STATES
+        assert self.db.vacate(key, requeue=requeue) == inflight
+
+    @precondition(lambda self: self.keys)
+    @rule(data=st.data())
+    def stop(self, data):
+        key = data.draw(st.sampled_from(self.keys))
+        final = self.db.job(key)["state"] in jobdb.FINAL_STATES
+        assert self.db.stop(key) == (not final)
+
+    @rule()
+    def reopen(self):
+        before = self.full_view()
+        self.db.close()
+        self.db = JobDatabase(self.path)
+        assert self.full_view() == before
+
+    @invariant()
+    def view_matches_sqlite(self):
+        pending, held = self.full_view()
+        queued = {}
+        for key, _entry, _payload, owner, _progress in self.db.queue():
+            queued.setdefault(owner, []).append(key)
+        assert pending == queued
+        assert held == dict(Counter(row[5] for row in self.db.inflight()))
+
+
+QueueViewMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None)
+TestQueueView = QueueViewMachine.TestCase

@@ -6,6 +6,7 @@ subprocess + real-``kill -9`` coverage lives in the live chaos suite
 (``repro-condor chaos --suite service``).
 """
 
+import shutil
 import socket
 import time
 
@@ -14,7 +15,8 @@ import pytest
 from repro.service import protocol
 from repro.service.agent import StationAgent
 from repro.service.client import ServiceClient
-from repro.service.daemon import CoordinatorDaemon, StandbyCoordinator
+from repro.service.daemon import (CoordinatorDaemon, StandbyCoordinator,
+                                  _AgentState)
 from repro.service.errors import ServiceError
 from repro.service.jobdb import JobDatabase
 
@@ -369,4 +371,107 @@ class TestFailover:
             assert fake.heartbeat()["ok"]
         finally:
             fake.close()
+            daemon.stop()
+
+
+def recovered_daemon(db_path, agents):
+    """A daemon recovered from ``db_path`` with ``agents`` registered and
+    idle, but no threads running: the test drives placement cycles."""
+    daemon = CoordinatorDaemon(db_path)
+    daemon.db = JobDatabase(db_path)
+    daemon.epoch = daemon.db.bump_epoch()
+    daemon._recover()
+    for name in agents:
+        daemon._agents[name] = _AgentState(name, daemon.clock())
+    return daemon
+
+
+def hosted(daemon):
+    return {name: state.job for name, state in daemon._agents.items()}
+
+
+@pytest.fixture(scope="module")
+def backlog_db(tmp_path_factory):
+    """2,000 queued jobs of a heavy owner whose persisted index is high,
+    then one light job: built once, copied per test."""
+    path = tmp_path_factory.mktemp("backlog") / "svc.sqlite"
+    db = JobDatabase(path)
+    for _ in range(2000):
+        db.submit(INSTANT, owner="heavy")
+    light = db.submit(INSTANT, owner="light")
+    db.save_owner_indices({"heavy": 40.0, "light": 0.0})
+    db.close()
+    return path, light
+
+
+class TestPlacementCost:
+    def test_cycle_statements_do_not_grow_with_queue_depth(
+            self, tmp_path, backlog_db):
+        shallow = tmp_path / "shallow.sqlite"
+        db = JobDatabase(shallow)
+        for _ in range(9):
+            db.submit(INSTANT, owner="heavy")
+        db.submit(INSTANT, owner="light")
+        db.save_owner_indices({"heavy": 40.0, "light": 0.0})
+        db.close()
+        deep = tmp_path / "deep.sqlite"
+        shutil.copy(backlog_db[0], deep)
+
+        # Statements executed, and sqlite virtual-machine steps: a scan
+        # would run one statement either way but step once per row.
+        costs = []
+        for path in (shallow, deep):
+            daemon = recovered_daemon(path, ["s0", "s1", "s2"])
+            conn = daemon.db._db
+            statements, steps = [], []
+            try:
+                conn.set_trace_callback(statements.append)
+                conn.set_progress_handler(lambda: steps.append(1), 1)
+                daemon._place_cycle()
+                conn.set_progress_handler(None, 1)
+                conn.set_trace_callback(None)
+                assert all(hosted(daemon).values())
+                costs.append((len(statements), len(steps)))
+            finally:
+                daemon.stop()
+        assert costs[0] == costs[1]
+
+    def test_light_owner_jumps_a_deep_heavy_backlog(self, tmp_path,
+                                                    backlog_db):
+        path = tmp_path / "svc.sqlite"
+        shutil.copy(backlog_db[0], path)
+        daemon = recovered_daemon(path, ["s0"])
+        try:
+            daemon._place_cycle()
+            assert hosted(daemon) == {"s0": backlog_db[1]}
+            assert daemon.db.job(backlog_db[1])["agent"] == "s0"
+        finally:
+            daemon.stop()
+
+    def test_failed_placement_keeps_the_agent_idle(self, db_path):
+        db = JobDatabase(db_path)
+        first = db.submit(INSTANT, owner="ann")
+        second = db.submit(INSTANT, owner="ann")
+        db.close()
+        daemon = recovered_daemon(db_path, ["s0"])
+        try:
+            # Another connection places the head job after this cycle
+            # read the queue: the view and sqlite now disagree.
+            view = daemon.db.placement_view
+
+            def racing_view(depth=1):
+                snapshot = view(depth)
+                rival = JobDatabase(db_path)
+                rival.place(first, "elsewhere", epoch=99)
+                rival.close()
+                return snapshot
+
+            daemon.db.placement_view = racing_view
+            daemon._place_cycle()
+            assert hosted(daemon) == {"s0": None}
+            assert daemon._agents["s0"].commands == []
+            daemon.db.placement_view = view
+            daemon._place_cycle()
+            assert hosted(daemon) == {"s0": second}
+        finally:
             daemon.stop()
